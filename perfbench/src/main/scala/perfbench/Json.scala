@@ -1,0 +1,29 @@
+package perfbench
+
+/** Minimal JSON rendering for the result line, run records and spans. */
+object Json {
+  def apply(v: Any): String = v match {
+    case null                 => "null"
+    case s: String            => quote(s)
+    case b: Boolean           => b.toString
+    case d: Double            => if (d.isNaN || d.isInfinite) "null" else d.toString
+    case n: Int               => n.toString
+    case n: Long              => n.toString
+    case m: collection.Map[_, _] =>
+      m.map { case (k, x) => s"${quote(k.toString)}: ${apply(x)}" }.mkString("{", ", ", "}")
+    case xs: Iterable[_]      => xs.map(apply).mkString("[", ", ", "]")
+    case other                => quote(other.toString)
+  }
+
+  private def quote(s: String): String = {
+    val b = new StringBuilder("\"")
+    s.foreach {
+      case '"'  => b ++= "\\\""
+      case '\\' => b ++= "\\\\"
+      case '\n' => b ++= "\\n"
+      case c if c < ' ' => b ++= f"\\u${c.toInt}%04x"
+      case c    => b += c
+    }
+    (b += '"').toString
+  }
+}
