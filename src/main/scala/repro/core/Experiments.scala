@@ -63,8 +63,8 @@ object Experiments {
   final case class Cell(run: Runner.TimedRun, metrics: PartitionMetrics)
 
   /** Metrics are a pure function of (dataset, div, strategy, parts); cache
-    * them across the four algorithm sweeps so each combination is computed
-    * once per JVM.
+    * them across the four algorithm sweeps so each (dataset, parts) panel is
+    * computed once per JVM.
     */
   private val metricsCache =
     scala.collection.concurrent.TrieMap.empty[(String, Int, String, Int), PartitionMetrics]
@@ -113,15 +113,15 @@ object Experiments {
       // the first strategy's timing.
       Runner.timeRun(spec.name, edges, algo, Partitioners.RVC, partsList.head,
         reps = 1, warmups = 0)
-      val cells = for {
-        parts    <- partsList
-        strategy <- Partitioners.all
-      } yield {
-        val run = Runner.timeRun(spec.name, edges, algo, strategy, parts,
-          reps = reps, warmups = warmups)
-        val m = metricsCache.getOrElseUpdate((spec.name, div, strategy.name, parts),
-          Metrics.compute(spec.name, edges, strategy, parts))
-        Cell(run, m)
+      val cells = partsList.flatMap { parts =>
+        def key(strategy: String) = (spec.name, div, strategy, parts)
+        if (!Partitioners.all.forall(s => metricsCache.contains(key(s.name))))
+          Metrics.computeAll(spec.name, edges, parts).foreach(m => metricsCache.put(key(m.partitioner), m))
+        Partitioners.all.map { strategy =>
+          val run = Runner.timeRun(spec.name, edges, algo, strategy, parts,
+            reps = reps, warmups = warmups)
+          Cell(run, metricsCache(key(strategy.name)))
+        }
       }
       edges.unpersist()
       cells

@@ -1,7 +1,7 @@
 package repro.partition
 
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 
 /** The five partitioning metrics of Tables 2/3 for one (graph, strategy,
   * numPartitions) combination. Semantics per the paper's Appendix A:
@@ -31,12 +31,21 @@ final case class PartitionMetrics(
     f"$dataset%-14s $partitioner%-5s $balance%7.2f $nonCut%12d $cut%12d $commCost%14d $partStDev%14.2f"
 }
 
-/** DataFrame/Catalyst computation of the partitioning metrics.
+/** Single-pass computation of the partitioning metrics for a panel of
+  * strategies.
   *
-  * Input edge lists are DataFrames with `src: Long, dst: Long` columns. The
-  * partition assignment is appended as a `pid` column via the strategy's
-  * Catalyst expression, which lets tests hand the *same assigned table* to the
-  * DuckDB oracle and re-derive every metric in portable SQL.
+  * Input edge lists are DataFrames with `src: Long, dst: Long` columns. A
+  * panel costs two Spark jobs however many strategies it holds:
+  *
+  *   1. one scan assigns every edge under every strategy and sums a
+  *      `strategies × numParts` matrix of partition sizes;
+  *   2. one shuffle keyed by `(strategy index, vertex)` ORs together a bitset
+  *      of the partitions holding each vertex — the per-vertex view of
+  *      GraphX's routing tables — and folds the replica counts into
+  *      per-strategy counters. The reduce side keeps the input's partition
+  *      count.
+  *
+  * The input is neither cached nor unpersisted, so a caller's cache survives.
   */
 object Metrics {
 
@@ -44,68 +53,87 @@ object Metrics {
   val Src = "src"
   val Dst = "dst"
 
-  /** Edge list with the strategy's partition id appended as `pid`. */
+  /** Per-strategy replica counters, in this order. */
+  private final val NonCut   = 0
+  private final val Cut      = 1
+  private final val CommCost = 2
+  private final val Vertices = 3
+  private final val Counters = 4
+
+  /** Edge list with the strategy's partition id appended as `pid`: the
+    * assignment the metrics describe, exported for the DuckDB oracle and the
+    * probes.
+    */
   def withPid(edges: DataFrame, strategy: Strategy, numParts: Int): DataFrame =
     edges.withColumn("pid", strategy.pidColumn(col(Src), col(Dst), numParts))
-
-  /** Per-partition edge counts for all `numParts` slots (empty slots → 0). */
-  def partitionSizes(assigned: DataFrame, numParts: Int): Array[Long] = {
-    val counted = assigned
-      .groupBy("pid")
-      .agg(count(lit(1)).as("n"))
-      .collect()
-      .map(r => r.getInt(0) -> r.getLong(1))
-      .toMap
-    Array.tabulate(numParts)(p => counted.getOrElse(p, 0L))
-  }
-
-  /** Vertex → number of distinct partitions holding a replica of it. */
-  def replicaCounts(assigned: DataFrame): DataFrame =
-    assigned
-      .select(col(Src).as("v"), col("pid"))
-      .union(assigned.select(col(Dst).as("v"), col("pid")))
-      .distinct()
-      .groupBy("v")
-      .agg(countDistinct("pid").as("replicas"))
 
   /** All five metrics for one (graph, strategy, numParts) combination. */
   def compute(
       dataset: String,
       edges: DataFrame,
       strategy: Strategy,
-      numParts: Int): PartitionMetrics = {
-    require(numParts > 0, s"numParts must be positive, got $numParts")
-    val assigned = withPid(edges, strategy, numParts).cache()
-    try {
-      val sizes     = partitionSizes(assigned, numParts)
-      val numEdges  = sizes.sum
-      val mean      = numEdges.toDouble / numParts
-      val balance   = if (numEdges == 0) 1.0 else sizes.max / mean
-      val partStDev = math.sqrt(sizes.map(s => (s - mean) * (s - mean)).sum / numParts)
+      numParts: Int): PartitionMetrics =
+    computeAll(dataset, edges, numParts, Seq(strategy)).head
 
-      val Row(nonCut: Long, cutV: Long, commCost: Long, numVertices: Long) = replicaCounts(assigned)
-        .agg(
-          sum(when(col("replicas") === 1, 1L).otherwise(0L)).as("nonCut"),
-          sum(when(col("replicas") > 1, 1L).otherwise(0L)).as("cut"),
-          coalesce(sum(when(col("replicas") > 1, col("replicas"))), lit(0L)).as("commCost"),
-          count(lit(1)).as("numVertices"))
-        .head()
-
-      PartitionMetrics(dataset, strategy.name, numParts, numEdges, numVertices,
-        balance, nonCut, cutV, commCost, partStDev)
-    } finally {
-      assigned.unpersist()
-    }
-  }
-
-  /** Metrics for every strategy in `strategies` over one graph. */
+  /** Metrics for every strategy in `strategies` over one graph, in order. */
   def computeAll(
       dataset: String,
       edges: DataFrame,
       numParts: Int,
       strategies: Seq[Strategy] = Partitioners.all): Seq[PartitionMetrics] = {
-    val cached = edges.cache()
-    try strategies.map(s => compute(dataset, cached, s, numParts))
-    finally cached.unpersist()
+    require(numParts > 0, s"numParts must be positive, got $numParts")
+    val panel = strategies.toArray
+    val k     = panel.length
+    val pairs = edges.select(col(Src).cast("long"), col(Dst).cast("long")).rdd
+      .map(r => (r.getLong(0), r.getLong(1)))
+
+    // Row i * numParts + p: edges strategy i assigns to partition p.
+    val sizes = pairs.treeAggregate(new Array[Long](k * numParts))(
+      (acc, e) => {
+        for (i <- 0 until k) acc(i * numParts + panel(i).pid(e._1, e._2, numParts)) += 1
+        acc
+      },
+      addInto)
+
+    val words = (numParts + 63) / 64
+    val counters = pairs
+      .flatMap { case (s, d) =>
+        Iterator.range(0, k).flatMap { i =>
+          val p = panel(i).pid(s, d, numParts)
+          Iterator(((i, s), p), ((i, d), p))
+        }
+      }
+      .aggregateByKey(new Array[Long](words), math.max(1, pairs.getNumPartitions))(
+        (bits, p) => { bits(p >>> 6) |= 1L << (p & 63); bits },
+        (a, b) => { for (j <- a.indices) a(j) |= b(j); a })
+      .treeAggregate(new Array[Long](k * Counters))(
+        (acc, kv) => {
+          val base     = kv._1._1 * Counters
+          val replicas = kv._2.map(java.lang.Long.bitCount).sum
+          if (replicas == 1) acc(base + NonCut) += 1
+          else {
+            acc(base + Cut) += 1
+            acc(base + CommCost) += replicas
+          }
+          acc(base + Vertices) += 1
+          acc
+        },
+        addInto)
+
+    panel.indices.map { i =>
+      val part      = sizes.slice(i * numParts, (i + 1) * numParts)
+      val numEdges  = part.sum
+      val mean      = numEdges.toDouble / numParts
+      val balance   = if (numEdges == 0) 1.0 else part.max / mean
+      val partStDev = math.sqrt(part.map(s => (s - mean) * (s - mean)).sum / numParts)
+      val c         = i * Counters
+      PartitionMetrics(dataset, panel(i).name, numParts, numEdges, counters(c + Vertices),
+        balance, counters(c + NonCut), counters(c + Cut), counters(c + CommCost), partStDev)
+    }
+  }
+
+  private def addInto(a: Array[Long], b: Array[Long]): Array[Long] = {
+    for (j <- a.indices) a(j) += b(j)
+    a
   }
 }

@@ -10,9 +10,9 @@ import org.apache.spark.sql.functions.udf
   *   - as a GraphX [[org.apache.spark.graphx.PartitionStrategy]] via
   *     `Graph.partitionBy` (the paper's execution path),
   *   - as a plain Scala function for in-memory reference computations,
-  *   - as a Catalyst [[Column]] via [[pidColumn]] for DataFrame-side metric
-  *     computation (and for exporting partition assignments to the DuckDB
-  *     oracle, which cannot evaluate JVM hash functions itself).
+  *   - as a Catalyst [[Column]] via [[pidColumn]] for exporting partition
+  *     assignments to the DuckDB oracle (which cannot evaluate JVM hash
+  *     functions itself) and to the probes.
   *
   * All strategies are total for non-negative vertex IDs and any `numParts > 0`.
   */

@@ -1,11 +1,14 @@
 package repro.partition
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.lit
 import repro.{Oracle, Reference, SparkSpec}
+import repro.core.Parsel
 
 /** Metric-layer tests: hand-computed tiny graphs, naive in-memory reference
-  * agreement, and DuckDB oracle equivalence of the Catalyst computation.
+  * agreement, DuckDB oracle equivalence of the metric panel, and guards on
+  * the panel's cost and on its caller's cache.
   */
 class MetricsSpec extends SparkSpec {
 
@@ -59,9 +62,14 @@ class MetricsSpec extends SparkSpec {
     }
   }
 
-  test("partitionSizes pads empty partitions with zero") {
-    val assigned = Metrics.withPid(df(Seq((0L, 1L))), Partitioners.SC, 5)
-    assert(Metrics.partitionSizes(assigned, 5).toSeq == Seq(1L, 0L, 0L, 0L, 0L))
+  test("an empty edge list gives zero counts, balance 1 and stdev 0 for every strategy") {
+    val rows = Metrics.computeAll("empty", df(Nil), 4)
+    assert(rows.map(_.partitioner) == Partitioners.all.map(_.name))
+    for (m <- rows) {
+      assert((m.numEdges, m.numVertices, m.nonCut, m.cut, m.commCost) == (0L, 0L, 0L, 0L, 0L), m.partitioner)
+      assert(m.balance == 1.0, m.partitioner)
+      assert(m.partStDev == 0.0, m.partitioner)
+    }
   }
 
   // --- agreement with the naive in-memory reference, all six strategies ---
@@ -81,39 +89,75 @@ class MetricsSpec extends SparkSpec {
     }
   }
 
-  // --- DuckDB oracle equivalence of the Catalyst metric queries ---
+  // --- DuckDB oracle: one query per partition count over the panel's assignment ---
 
-  private val replicaSql =
-    """SELECT
-      |  sum(CASE WHEN replicas = 1 THEN 1 ELSE 0 END) AS noncut,
-      |  sum(CASE WHEN replicas > 1 THEN 1 ELSE 0 END) AS cut,
-      |  sum(CASE WHEN replicas > 1 THEN replicas ELSE 0 END) AS commcost
-      |FROM (
-      |  SELECT v, count(DISTINCT pid) AS replicas
-      |  FROM (SELECT src AS v, pid FROM assigned
-      |        UNION SELECT dst AS v, pid FROM assigned) endpoints
-      |  GROUP BY v
-      |) r""".stripMargin
+  /** All six strategies' metrics from the long-form assignment
+    * `(strategy, src, dst, pid)`; the max partition size stands in for
+    * balance.
+    */
+  private val panelSql =
+    """WITH a AS (
+      |  SELECT strategy, CAST(src AS BIGINT) AS src, CAST(dst AS BIGINT) AS dst,
+      |         CAST(pid AS INTEGER) AS pid
+      |  FROM assigned),
+      |sizes AS (
+      |  SELECT strategy, count(*) AS n FROM a GROUP BY strategy, pid),
+      |replicas AS (
+      |  SELECT strategy, v, count(DISTINCT pid) AS r
+      |  FROM (SELECT strategy, src AS v, pid FROM a
+      |        UNION SELECT strategy, dst AS v, pid FROM a) endpoints
+      |  GROUP BY strategy, v)
+      |SELECT s.strategy AS partitioner, s.numedges, s.maxpart,
+      |       r.numvertices, r.noncut, r.cut, r.commcost
+      |FROM (SELECT strategy, sum(n) AS numedges, max(n) AS maxpart
+      |      FROM sizes GROUP BY strategy) s
+      |JOIN (SELECT strategy, count(*) AS numvertices,
+      |             sum(CASE WHEN r = 1 THEN 1 ELSE 0 END) AS noncut,
+      |             sum(CASE WHEN r > 1 THEN 1 ELSE 0 END) AS cut,
+      |             sum(CASE WHEN r > 1 THEN r ELSE 0 END) AS commcost
+      |      FROM replicas GROUP BY strategy) r
+      |ON s.strategy = r.strategy""".stripMargin
+
+  private val oracleParts = Seq(8, 16)
+
+  private type Panel = Map[String, Map[String, String]]
+
+  /** Per partition count: strategy → column → value, from `computeAll` and
+    * from DuckDB over `withPid` of every strategy.
+    */
+  private lazy val oraclePanels: Map[Int, (Panel, Panel)] =
+    oracleParts.map { n =>
+      val sparkSide = Metrics.computeAll("sample", df(sample), n).map { m =>
+        val maxPart = math.round(m.balance * m.numEdges / n)
+        m.partitioner -> Map("numedges" -> m.numEdges, "maxpart" -> maxPart,
+          "numvertices" -> m.numVertices, "noncut" -> m.nonCut, "cut" -> m.cut,
+          "commcost" -> m.commCost).map { case (c, v) => c -> v.toString }
+      }.toMap
+      val longForm = Partitioners.all
+        .map(s => Metrics.withPid(df(sample), s, n).withColumn("strategy", lit(s.name)))
+        .reduce(_ union _)
+      val (cols, rows) = Oracle.query(panelSql, "assigned" -> longForm)
+      val duckSide = rows.map { r =>
+        val byCol = cols.map(_.toLowerCase).zip(r.toSeq.map(String.valueOf)).toMap
+        byCol("partitioner") -> byCol
+      }.toMap
+      n -> (sparkSide, duckSide)
+    }.toMap
+
+  private def assertAgreesWithDuckDB(s: Strategy, columns: Seq[String]): Unit =
+    for (n <- oracleParts) {
+      val (sparkSide, duckSide) = oraclePanels(n)
+      for (c <- columns)
+        assert(sparkSide(s.name)(c) == duckSide(s.name)(c), s"${s.name} @ $n partitions: $c")
+    }
 
   for (s <- Partitioners.all) {
     test(s"${s.name}: replica metrics agree with DuckDB over the same assignment") {
-      val assigned = Metrics.withPid(df(sample), s, 8).cache()
-      val sparkSide = Metrics.replicaCounts(assigned).agg(
-        sum(when(col("replicas") === 1, 1L).otherwise(0L)).as("noncut"),
-        sum(when(col("replicas") > 1, 1L).otherwise(0L)).as("cut"),
-        coalesce(sum(when(col("replicas") > 1, col("replicas"))), lit(0L)).as("commcost"))
-      Oracle.assertEquivalent(sparkSide, replicaSql, "assigned" -> assigned)
-      assigned.unpersist()
+      assertAgreesWithDuckDB(s, Seq("numvertices", "noncut", "cut", "commcost"))
     }
 
     test(s"${s.name}: per-partition sizes agree with DuckDB over the same assignment") {
-      val assigned  = Metrics.withPid(df(sample), s, 8).cache()
-      val sparkSide = assigned.groupBy("pid").agg(count(lit(1)).as("n"))
-      Oracle.assertEquivalent(
-        sparkSide,
-        "SELECT pid, count(*) AS n FROM assigned GROUP BY pid",
-        "assigned" -> assigned)
-      assigned.unpersist()
+      assertAgreesWithDuckDB(s, Seq("numedges", "maxpart"))
     }
   }
 
@@ -152,5 +196,53 @@ class MetricsSpec extends SparkSpec {
   test("tableRow formats all five metric columns") {
     val row = Metrics.compute("square", df(square), Partitioners.SC, 2).tableRow
     for (frag <- Seq("square", "SC", "1.00", "8")) assert(row.contains(frag))
+  }
+
+  // --- the panel's cost and its caller's cache ---
+
+  /** Spark jobs started by `body`. Jobs run in a job group; a marker job
+    * started after `body` ends the count, since the listener bus delivers
+    * events in order.
+    */
+  private def jobsStartedBy(body: => Unit): Int = {
+    val sc     = spark.sparkContext
+    val group  = s"metrics-job-guard-${System.nanoTime}"
+    val marker = s"$group-marker"
+    val seen   = new java.util.concurrent.ConcurrentLinkedQueue[String]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).foreach(seen.add)
+    }
+    sc.addSparkListener(listener)
+    try {
+      def inGroup(id: String)(f: => Unit): Unit = {
+        sc.setJobGroup(id, id)
+        try f finally sc.clearJobGroup()
+      }
+      inGroup(group)(body)
+      inGroup(marker)(sc.parallelize(Seq(1), 1).count())
+      val deadline = System.nanoTime + 60L * 1000 * 1000 * 1000
+      while (!seen.contains(marker) && System.nanoTime < deadline) Thread.sleep(10)
+      assert(seen.contains(marker), "listener never saw the marker job")
+      seen.toArray.count(_ == group)
+    } finally sc.removeSparkListener(listener)
+  }
+
+  test("computeAll runs at most 2 Spark jobs whatever the number of strategies") {
+    val edges = df(sample)
+    for (strategies <- Seq(Partitioners.all.take(1), Partitioners.all)) {
+      val jobs = jobsStartedBy(Metrics.computeAll("sample", edges, 8, strategies))
+      assert(jobs <= 2, s"${strategies.size} strategies ran $jobs jobs")
+    }
+  }
+
+  test("a caller's cached DataFrame stays cached through computeAll and Parsel.select") {
+    val edges = df(sample).cache()
+    edges.count()
+    Metrics.computeAll("sample", edges, 8)
+    assert(edges.storageLevel.useMemory, "computeAll dropped the cache")
+    Parsel.select("sample", edges, Parsel.EdgeBound, 8)
+    assert(edges.storageLevel.useMemory, "Parsel.select dropped the cache")
+    edges.unpersist()
   }
 }
