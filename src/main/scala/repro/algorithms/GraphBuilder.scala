@@ -1,14 +1,23 @@
 package repro.algorithms
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.graphx.{Edge, Graph, PartitionStrategy}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.storage.StorageLevel
 
 /** Bridge from the DataFrame edge-list representation (used by the generators
   * and the metric layer) to a partitioned GraphX [[Graph]] (used by the
-  * algorithms). Partitioning happens through GraphX's documented extension
-  * point, `Graph.partitionBy(strategy, numParts)` — exactly the code path the
-  * paper evaluates.
+  * algorithms).
+  *
+  * Partitioning is one shuffle: every edge is keyed by the strategy's
+  * `getPartition(src, dst, numParts)` and moved by a `HashPartitioner` over
+  * `numParts`, which sends key `p` to partition `p`. That is the shuffle
+  * `Graph.partitionBy(strategy, numParts)` runs, and GraphX's
+  * `EdgePartitionBuilder` sorts each partition, so the edge layout equals
+  * `partitionBy`'s bit for bit ("GraphBuilder: per-partition layout equals
+  * Graph.partitionBy" in AlgorithmsSpec). The graph is built once, on the
+  * shuffled edges, so its vertices are hash-partitioned into the same
+  * `numParts` partitions, whatever the input DataFrame's partitioning.
   */
 object GraphBuilder {
 
@@ -20,14 +29,18 @@ object GraphBuilder {
       edges: DataFrame,
       strategy: PartitionStrategy,
       numParts: Int): Graph[Int, Int] = {
-    val edgeRdd = edges
+    val placed = edges
       .select("src", "dst")
       .rdd
-      .map(r => Edge(r.getLong(0), r.getLong(1), 1))
-    Graph
-      .fromEdges(edgeRdd, defaultValue = 1,
-        edgeStorageLevel = StorageLevel.MEMORY_AND_DISK,
-        vertexStorageLevel = StorageLevel.MEMORY_AND_DISK)
-      .partitionBy(strategy, numParts)
+      .map { r =>
+        val src = r.getLong(0)
+        val dst = r.getLong(1)
+        (strategy.getPartition(src, dst, numParts), Edge(src, dst, 1))
+      }
+      .partitionBy(new HashPartitioner(numParts))
+      .values
+    Graph.fromEdges(placed, defaultValue = 1,
+      edgeStorageLevel = StorageLevel.MEMORY_AND_DISK,
+      vertexStorageLevel = StorageLevel.MEMORY_AND_DISK)
   }
 }

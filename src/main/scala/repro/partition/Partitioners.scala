@@ -7,8 +7,9 @@ import org.apache.spark.sql.functions.udf
 /** An edge-partitioning strategy: a pure function `(src, dst, numParts) → pid`.
   *
   * Each strategy is usable in three ways:
-  *   - as a GraphX [[org.apache.spark.graphx.PartitionStrategy]] via
-  *     `Graph.partitionBy` (the paper's execution path),
+  *   - as a GraphX [[org.apache.spark.graphx.PartitionStrategy]], whose
+  *     `getPartition` keys the edge shuffle of
+  *     `repro.algorithms.GraphBuilder` (the paper's execution path),
   *   - as a plain Scala function for in-memory reference computations,
   *   - as a Catalyst [[Column]] via [[pidColumn]] for exporting partition
   *     assignments to the DuckDB oracle (which cannot evaluate JVM hash

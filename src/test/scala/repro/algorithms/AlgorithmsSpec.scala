@@ -1,6 +1,6 @@
 package repro.algorithms
 
-import org.apache.spark.graphx.{Graph, VertexId, lib => gxlib}
+import org.apache.spark.graphx.{Edge, Graph, lib => gxlib}
 import org.apache.spark.sql.DataFrame
 import repro.{Reference, SparkSpec}
 import repro.partition.Partitioners
@@ -42,6 +42,46 @@ class AlgorithmsSpec extends SparkSpec {
     val g = GraphBuilder.partitioned(df(sample), Partitioners.TwoD, 8)
     val back = g.edges.map(e => (e.srcId, e.dstId)).collect().toSet
     assert(back == sample.toSet)
+  }
+
+  /** Each edge partition's (src, dst) pairs, in stored order. */
+  private def layout(g: Graph[Int, Int]): Seq[Seq[(Long, Long)]] =
+    g.edges.map(e => (e.srcId, e.dstId)).glom().collect().map(_.toSeq).toSeq
+
+  test("GraphBuilder: per-partition layout equals Graph.partitionBy") {
+    val input   = df(sample)
+    val gxEdges = input.rdd.map(r => Edge(r.getLong(0), r.getLong(1), 1))
+    // 6 is not a perfect square, so 2D takes its non-square branch.
+    for (s <- Partitioners.all; n <- Seq(8, 6)) {
+      val ours = layout(GraphBuilder.partitioned(input, s, n))
+      val gx   = layout(Graph.fromEdges(gxEdges, 1).partitionBy(s, n))
+      assert(ours == gx, s"${s.name} at $n partitions")
+    }
+  }
+
+  test("GraphBuilder: vertices live in numParts partitions, whatever the input's") {
+    def pageRankTasks(inputParts: Int): Int = {
+      val g = GraphBuilder.partitioned(df(sample).repartition(inputParts), Partitioners.TwoD, 8).cache()
+      assert(g.vertices.getNumPartitions == 8, s"vertices from a $inputParts-partition input")
+      assert(g.edges.getNumPartitions == 8, s"edges from a $inputParts-partition input")
+      g.vertices.count()
+      g.edges.count()
+      val tasks = sparkWork(PageRankAlg.run(g, 2).vertices.count()).tasks
+      g.unpersist(blocking = true)
+      tasks
+    }
+    assert(pageRankTasks(4) == pageRankTasks(64))
+  }
+
+  test("GraphBuilder: unpersisting the graph frees everything the build cached") {
+    val sc     = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val g      = GraphBuilder.partitioned(df(sample), Partitioners.RVC, 8).cache()
+    g.vertices.count()
+    g.edges.count()
+    g.unpersist(blocking = true)
+    val left = sc.getPersistentRDDs.collect { case (id, rdd) if !before(id) => rdd.name }
+    assert(left.isEmpty, s"still cached: ${left.mkString(", ")}")
   }
 
   // --- PageRank ---

@@ -1,6 +1,5 @@
 package repro.partition
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions.lit
 import repro.{Oracle, Reference, SparkSpec}
@@ -200,38 +199,10 @@ class MetricsSpec extends SparkSpec {
 
   // --- the panel's cost and its caller's cache ---
 
-  /** Spark jobs started by `body`. Jobs run in a job group; a marker job
-    * started after `body` ends the count, since the listener bus delivers
-    * events in order.
-    */
-  private def jobsStartedBy(body: => Unit): Int = {
-    val sc     = spark.sparkContext
-    val group  = s"metrics-job-guard-${System.nanoTime}"
-    val marker = s"$group-marker"
-    val seen   = new java.util.concurrent.ConcurrentLinkedQueue[String]()
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).foreach(seen.add)
-    }
-    sc.addSparkListener(listener)
-    try {
-      def inGroup(id: String)(f: => Unit): Unit = {
-        sc.setJobGroup(id, id)
-        try f finally sc.clearJobGroup()
-      }
-      inGroup(group)(body)
-      inGroup(marker)(sc.parallelize(Seq(1), 1).count())
-      val deadline = System.nanoTime + 60L * 1000 * 1000 * 1000
-      while (!seen.contains(marker) && System.nanoTime < deadline) Thread.sleep(10)
-      assert(seen.contains(marker), "listener never saw the marker job")
-      seen.toArray.count(_ == group)
-    } finally sc.removeSparkListener(listener)
-  }
-
   test("computeAll runs at most 2 Spark jobs whatever the number of strategies") {
     val edges = df(sample)
     for (strategies <- Seq(Partitioners.all.take(1), Partitioners.all)) {
-      val jobs = jobsStartedBy(Metrics.computeAll("sample", edges, 8, strategies))
+      val jobs = sparkWork(Metrics.computeAll("sample", edges, 8, strategies)).jobs
       assert(jobs <= 2, s"${strategies.size} strategies ran $jobs jobs")
     }
   }
